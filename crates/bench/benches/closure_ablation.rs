@@ -1,5 +1,5 @@
-//! A1: transitive-closure engine ablation (dfs / bfs / scc / bitset) on
-//! representative ontology shapes.
+//! A1: transitive-closure engine ablation (dfs / bfs / scc against the
+//! block engine at 1 and 2 threads) on representative ontology shapes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use quonto::TboxGraph;
@@ -19,7 +19,7 @@ fn closure_ablation(c: &mut Criterion) {
         let graph = TboxGraph::build(&tbox);
         for engine in quonto::all_engines() {
             group.bench_with_input(
-                BenchmarkId::new(engine.name(), label),
+                BenchmarkId::new(obda_bench::engine_label(engine.as_ref()), label),
                 &graph,
                 |b, graph| b.iter(|| engine.compute(graph)),
             );

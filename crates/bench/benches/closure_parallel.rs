@@ -1,6 +1,6 @@
-//! Parallel-closure scaling: the sequential SCC baseline against the two
-//! multi-threaded engines at 1/2/4/8 workers, on the Galen- and FMA-shaped
-//! presets (the two largest Figure 1 ontologies).
+//! Parallel-closure scaling: the sequential SCC baseline against the
+//! block engine at 1 and 2 workers, on the Galen- and FMA-shaped presets
+//! (the two largest Figure 1 ontologies).
 //!
 //! ```text
 //! cargo bench -p obda-bench --bench closure_parallel
@@ -11,7 +11,7 @@
 //! `QUONTO_BENCH_SCALE=1.0` benches the published ontology sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use quonto::{ChunkedBitsetEngine, ClosureEngine, ParSccEngine, SccEngine, TboxGraph};
+use quonto::{ChunkedBitsetEngine, ClosureEngine, SccEngine, TboxGraph};
 
 fn bench_scale() -> f64 {
     quonto::env::bench_scale().unwrap_or(0.1)
@@ -33,18 +33,12 @@ fn closure_parallel(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("scc", label), &graph, |b, graph| {
             b.iter(|| SccEngine.compute(graph))
         });
-        for threads in [1usize, 2, 4, 8] {
-            let par = ParSccEngine::with_threads(threads);
-            group.bench_with_input(
-                BenchmarkId::new(format!("par-scc/t{threads}"), label),
-                &graph,
-                |b, graph| b.iter(|| par.compute(graph)),
-            );
-            let chunked = ChunkedBitsetEngine::with_threads(threads);
+        for threads in [1usize, 2] {
+            let block = ChunkedBitsetEngine::with_threads(threads);
             group.bench_with_input(
                 BenchmarkId::new(format!("chunked-bitset/t{threads}"), label),
                 &graph,
-                |b, graph| b.iter(|| chunked.compute(graph)),
+                |b, graph| b.iter(|| block.compute(graph)),
             );
         }
     }

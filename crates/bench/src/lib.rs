@@ -265,6 +265,15 @@ pub fn format_figure1(rows: &[Figure1Row]) -> String {
     render(&table)
 }
 
+/// Report label of a closure engine: its name, suffixed `/tN` when it
+/// runs on `N > 1` threads.
+pub fn engine_label(engine: &dyn quonto::ClosureEngine) -> String {
+    match engine.threads() {
+        1 => engine.name().to_owned(),
+        t => format!("{}/t{t}", engine.name()),
+    }
+}
+
 /// Aligned ASCII rendering of a table (first row = header).
 pub fn render(table: &[Vec<String>]) -> String {
     let cols = table.iter().map(Vec::len).max().unwrap_or(0);

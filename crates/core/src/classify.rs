@@ -41,10 +41,6 @@ impl Classification {
         let timings = crate::env::timings_enabled();
         let t0 = std::time::Instant::now();
         let graph = TboxGraph::build(tbox);
-        // Resolve meta-engines (AutoEngine) so the timing line names the
-        // engine that actually ran.
-        let resolved = engine.select_for(&graph);
-        let engine: &dyn ClosureEngine = resolved.as_deref().unwrap_or(engine);
         let t1 = std::time::Instant::now();
         let closure = engine.compute(&graph);
         let t2 = std::time::Instant::now();
@@ -74,24 +70,14 @@ impl Classification {
     /// recomputed (it is near-linear, unlike the closure). The caller is
     /// responsible for also recording the axioms in its `Tbox`.
     pub fn add_axioms(&mut self, axioms: &[obda_dllite::Axiom]) {
-        let mut any_negative = false;
         for ax in axioms {
-            if !ax.is_positive() {
-                any_negative = true;
-            }
-            let had_quals = self.graph.qual_axioms.len();
             for (from, to) in self.graph.insert_axiom(ax) {
                 self.closure.insert_edge(&self.graph, from, to);
             }
-            if self.graph.qual_axioms.len() != had_quals {
-                // New qualified axioms can change the unsat fixpoint even
-                // without new arcs.
-                any_negative = true;
-            }
         }
-        // Unsatisfiability can grow whenever negative structure or new
-        // reachability appears; recomputing is cheap relative to closure.
-        if any_negative || !axioms.is_empty() {
+        // Any axiom (negative, qualified or a new arc) can grow the
+        // unsatisfiable set; recomputing is cheap relative to closure.
+        if !axioms.is_empty() {
             self.unsat = compute_unsat(&self.graph);
         }
     }

@@ -10,17 +10,18 @@
 //! * [`DfsEngine`] — per-source iterative depth-first reachability;
 //! * [`BfsEngine`] — per-source breadth-first reachability;
 //! * [`SccEngine`] — Tarjan SCC condensation followed by reachable-set
-//!   propagation in reverse topological order (cycle-heavy ontologies
-//!   collapse to small DAGs; this is the default, see [`recommended`]);
-//! * [`BitsetEngine`] — dense bit-matrix closure over the condensation,
-//!   `O(V·E/64)`; fastest on small dense graphs but requires `O(V²/8)`
-//!   bytes, so it refuses graphs above a node threshold.
+//!   propagation in reverse topological order;
+//! * [`ChunkedBitsetEngine`] — the same condensation, propagated 64
+//!   source components at a time as bit words and emitted in node order
+//!   across worker threads. It is the production engine (see
+//!   [`recommended`]); the other three serve as its test oracles.
 //!
 //! All engines produce the same [`Closure`]: per-node sorted successor
 //! lists over `NodeId`s. A node is listed as its own successor only when
 //! it lies on a cycle (`S ⊑ … ⊑ S` through at least one arc); the trivial
 //! reflexive subsumption is handled by [`Closure::reaches`] directly.
 
+use crate::closure_par::ChunkedBitsetEngine;
 use crate::graph::{NodeId, TboxGraph};
 
 /// The transitive closure of a [`TboxGraph`]: sorted successor lists.
@@ -31,7 +32,7 @@ pub struct Closure {
 
 impl Closure {
     /// Builds a closure from per-node sorted successor lists (used by the
-    /// parallel engines in [`crate::closure_par`]).
+    /// block engine in [`crate::closure_par`]).
     pub(crate) fn from_successor_lists(succ: Vec<Vec<u32>>) -> Self {
         Closure { succ }
     }
@@ -137,119 +138,27 @@ pub trait ClosureEngine {
         1
     }
 
-    /// For meta-engines ([`AutoEngine`]): the concrete engine chosen for
-    /// this graph, so callers can attribute timings to it. Concrete
-    /// engines return `None`.
+    /// The concrete engine a delegating engine would run on `g`, so
+    /// callers can attribute timings to it. Every engine in this crate
+    /// computes the closure itself and returns `None`.
     fn select_for(&self, _g: &TboxGraph) -> Option<Box<dyn ClosureEngine>> {
         None
     }
 }
 
-/// Returns the engine used by default throughout the crate:
-/// [`AutoEngine`], which picks a concrete engine from the graph size and
-/// the machine's available parallelism at `compute` time, honouring the
-/// `QUONTO_CLOSURE` environment override (see [`AutoEngine`] for the
-/// selection rule and the accepted override values).
+/// Returns the engine used by default throughout the crate: the block
+/// engine [`ChunkedBitsetEngine`] on all available cores, at every graph
+/// size (graphs under
+/// [`MIN_PARALLEL_BLOCKS`](crate::closure_par::MIN_PARALLEL_BLOCKS)
+/// blocks run on the calling thread).
 pub fn recommended() -> Box<dyn ClosureEngine> {
-    Box::new(AutoEngine::default())
+    Box::new(ChunkedBitsetEngine::default())
 }
 
 /// Like [`recommended`], with an explicit worker-thread knob (`0` = all
 /// available cores) — used by the benchmark harness's `--threads` flag.
 pub fn recommended_with_threads(threads: usize) -> Box<dyn ClosureEngine> {
-    Box::new(AutoEngine::with_threads(threads))
-}
-
-/// Engine that defers selection to `compute` time, when both the graph
-/// size and the machine's parallelism are known.
-///
-/// Selection rule (see DESIGN.md "Engine selection & parallel scaling"):
-///
-/// 1. If `QUONTO_CLOSURE` is set to `dfs`, `bfs`, `scc`, `bitset`, `par`
-///    (par-scc) or `chunked` (chunked-bitset), that engine is used
-///    unconditionally (`auto` restores the heuristic).
-/// 2. Graphs under [`AutoEngine::SMALL_GRAPH`] nodes use [`SccEngine`]:
-///    thread spawn/join overhead dominates below that size.
-/// 3. With one usable core, dense graphs up to
-///    [`BitsetEngine::MAX_NODES`] use [`BitsetEngine`], larger ones
-///    [`SccEngine`].
-/// 4. With multiple cores, everything else uses the block-parallel
-///    [`ChunkedBitsetEngine`](crate::closure_par::ChunkedBitsetEngine),
-///    whose `O(V)`-per-block memory never trips a size gate.
-#[derive(Debug, Clone, Copy)]
-pub struct AutoEngine {
-    threads: usize,
-}
-
-impl AutoEngine {
-    /// Below this node count the sequential SCC engine always wins.
-    pub const SMALL_GRAPH: usize = 2048;
-
-    /// Auto-selection with an explicit thread knob (`0` = all cores).
-    pub fn with_threads(threads: usize) -> Self {
-        AutoEngine {
-            threads: if threads == 0 {
-                crate::closure_par::default_threads()
-            } else {
-                threads
-            },
-        }
-    }
-
-    /// Resolves the concrete engine for a given graph (public so the
-    /// timing breakdown can name the selected engine).
-    pub fn select(&self, g: &TboxGraph) -> Box<dyn ClosureEngine> {
-        use crate::closure_par::{ChunkedBitsetEngine, ParSccEngine};
-        if let Some(name) = crate::env::closure_engine() {
-            match name.as_str() {
-                "dfs" => return Box::new(DfsEngine),
-                "bfs" => return Box::new(BfsEngine),
-                "scc" => return Box::new(SccEngine),
-                "bitset" => return Box::new(BitsetEngine),
-                "par" | "par-scc" => return Box::new(ParSccEngine::with_threads(self.threads)),
-                "chunked" | "chunked-bitset" => {
-                    return Box::new(ChunkedBitsetEngine::with_threads(self.threads))
-                }
-                _ => {} // "auto" and unknown values fall through
-            }
-        }
-        let n = g.num_nodes();
-        if n < Self::SMALL_GRAPH {
-            Box::new(SccEngine)
-        } else if self.threads <= 1 {
-            if n <= BitsetEngine::MAX_NODES {
-                Box::new(BitsetEngine)
-            } else {
-                Box::new(SccEngine)
-            }
-        } else {
-            Box::new(ChunkedBitsetEngine::with_threads(self.threads))
-        }
-    }
-}
-
-impl Default for AutoEngine {
-    fn default() -> Self {
-        Self::with_threads(0)
-    }
-}
-
-impl ClosureEngine for AutoEngine {
-    fn name(&self) -> &'static str {
-        "auto"
-    }
-
-    fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn compute(&self, g: &TboxGraph) -> Closure {
-        self.select(g).compute(g)
-    }
-
-    fn select_for(&self, g: &TboxGraph) -> Option<Box<dyn ClosureEngine>> {
-        Some(self.select(g))
-    }
+    Box::new(ChunkedBitsetEngine::with_threads(threads))
 }
 
 /// Per-source iterative DFS.
@@ -326,17 +235,22 @@ impl ClosureEngine for BfsEngine {
 
 /// Strongly-connected-component condensation of a [`TboxGraph`], computed
 /// with an iterative Tarjan algorithm (safe for very deep hierarchies).
+///
+/// Component ids follow Tarjan's emission order, which is reverse
+/// topological: every condensed arc runs from a higher id to a lower one.
+/// Members and arcs are stored flat, in CSR form.
 #[derive(Debug, Clone)]
 pub struct Condensation {
     /// Component id of each node.
     pub comp_of: Vec<u32>,
-    /// Members of each component.
-    pub members: Vec<Vec<u32>>,
-    /// Condensed adjacency (deduplicated), indexed by component id.
-    pub comp_succ: Vec<Vec<u32>>,
-    /// Component ids in reverse topological order (every component appears
-    /// after all components it can reach).
-    pub rev_topo: Vec<u32>,
+    /// `member_nodes[member_start[c]..member_start[c + 1]]` are the
+    /// members of component `c`.
+    member_start: Vec<usize>,
+    member_nodes: Vec<u32>,
+    /// `arcs[arc_start[c]..arc_start[c + 1]]` are the distinct
+    /// successor components of `c`, in no particular order.
+    arc_start: Vec<usize>,
+    arcs: Vec<u32>,
 }
 
 impl Condensation {
@@ -349,7 +263,8 @@ impl Condensation {
         let mut on_stack = vec![false; n];
         let mut comp_of = vec![0u32; n];
         let mut stack: Vec<u32> = Vec::new();
-        let mut members: Vec<Vec<u32>> = Vec::new();
+        let mut member_start = vec![0usize];
+        let mut member_nodes: Vec<u32> = Vec::with_capacity(n);
         let mut next_index = 0u32;
         // Explicit DFS call stack: (node, next-successor position).
         let mut call: Vec<(u32, usize)> = Vec::new();
@@ -384,50 +299,65 @@ impl Condensation {
                         low[parent as usize] = low[parent as usize].min(low[v as usize]);
                     }
                     if low[v as usize] == index[v as usize] {
-                        let cid = members.len() as u32;
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
+                        // The component is the stack suffix from `v` up.
+                        let cid = (member_start.len() - 1) as u32;
+                        let top = stack
+                            .iter()
+                            .rposition(|&w| w == v)
+                            .expect("tarjan stack underflow");
+                        for w in stack.drain(top..) {
                             on_stack[w as usize] = false;
                             comp_of[w as usize] = cid;
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
+                            member_nodes.push(w);
                         }
-                        members.push(comp);
+                        member_start.push(member_nodes.len());
                     }
                 }
             }
         }
-        // Tarjan emits components in reverse topological order already.
-        let num_comps = members.len();
-        let mut comp_succ: Vec<Vec<u32>> = vec![Vec::new(); num_comps];
-        for v in 0..n as u32 {
-            let cv = comp_of[v as usize];
-            for &w in g.successors(NodeId(v)) {
-                let cw = comp_of[w as usize];
-                if cv != cw {
-                    comp_succ[cv as usize].push(cw);
+        // Distinct condensed arcs per component, deduplicated with an
+        // epoch mark (the epoch is the source component id).
+        let num_comps = member_start.len() - 1;
+        let mut mark = vec![u32::MAX; num_comps];
+        let mut arc_start = Vec::with_capacity(num_comps + 1);
+        arc_start.push(0);
+        let mut arcs: Vec<u32> = Vec::new();
+        for c in 0..num_comps {
+            for &v in &member_nodes[member_start[c]..member_start[c + 1]] {
+                for &w in g.successors(NodeId(v)) {
+                    let cw = comp_of[w as usize];
+                    if cw != c as u32 && mark[cw as usize] != c as u32 {
+                        mark[cw as usize] = c as u32;
+                        arcs.push(cw);
+                    }
                 }
             }
+            arc_start.push(arcs.len());
         }
-        for list in &mut comp_succ {
-            list.sort_unstable();
-            list.dedup();
-        }
-        let rev_topo: Vec<u32> = (0..num_comps as u32).collect();
         Condensation {
             comp_of,
-            members,
-            comp_succ,
-            rev_topo,
+            member_start,
+            member_nodes,
+            arc_start,
+            arcs,
         }
     }
 
     /// Number of components.
     pub fn num_comps(&self) -> usize {
-        self.members.len()
+        self.member_start.len() - 1
+    }
+
+    /// Member nodes of component `c`.
+    #[inline]
+    pub fn members(&self, c: usize) -> &[u32] {
+        &self.member_nodes[self.member_start[c]..self.member_start[c + 1]]
+    }
+
+    /// Distinct successor components of `c` (all with ids below `c`).
+    #[inline]
+    pub fn successors(&self, c: usize) -> &[u32] {
+        &self.arcs[self.arc_start[c]..self.arc_start[c + 1]]
     }
 }
 
@@ -447,11 +377,11 @@ impl ClosureEngine for SccEngine {
         // (excluding c itself).
         let mut reach: Vec<Vec<u32>> = vec![Vec::new(); nc];
         let mut mark = vec![u32::MAX; nc];
-        // rev_topo: component 0 is emitted first by Tarjan and can only
-        // reach components already emitted, so ascending order works.
+        // Component 0 is emitted first by Tarjan and can only reach
+        // components already emitted, so ascending order works.
         for c in 0..nc as u32 {
             let mut out: Vec<u32> = Vec::new();
-            for &d in &cond.comp_succ[c as usize] {
+            for &d in cond.successors(c as usize) {
                 if mark[d as usize] != c {
                     mark[d as usize] = c;
                     out.push(d);
@@ -471,12 +401,12 @@ impl ClosureEngine for SccEngine {
         let mut succ = vec![Vec::new(); n];
         for v in 0..n as u32 {
             let c = cond.comp_of[v as usize] as usize;
-            let own = &cond.members[c];
+            let own = cond.members(c);
             let mut out: Vec<u32> = Vec::with_capacity(
                 own.len() - 1
                     + reach[c]
                         .iter()
-                        .map(|&d| cond.members[d as usize].len())
+                        .map(|&d| cond.members(d as usize).len())
                         .sum::<usize>(),
             );
             if own.len() > 1 {
@@ -484,7 +414,7 @@ impl ClosureEngine for SccEngine {
                 out.extend(own.iter().copied());
             }
             for &d in &reach[c] {
-                out.extend(cond.members[d as usize].iter().copied());
+                out.extend(cond.members(d as usize).iter().copied());
             }
             out.sort_unstable();
             succ[v as usize] = out;
@@ -493,84 +423,15 @@ impl ClosureEngine for SccEngine {
     }
 }
 
-/// Dense bit-matrix closure over the condensation. Requires `O(V²/8)`
-/// bytes; [`BitsetEngine::MAX_NODES`] guards against accidental use on
-/// huge graphs (it falls back to [`SccEngine`] above the threshold).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BitsetEngine;
-
-impl BitsetEngine {
-    /// Node-count threshold above which the engine delegates to
-    /// [`SccEngine`] instead of allocating a quadratic bit matrix.
-    pub const MAX_NODES: usize = 1 << 15;
-}
-
-impl ClosureEngine for BitsetEngine {
-    fn name(&self) -> &'static str {
-        "bitset"
-    }
-
-    fn compute(&self, g: &TboxGraph) -> Closure {
-        if g.num_nodes() > Self::MAX_NODES {
-            return SccEngine.compute(g);
-        }
-        let cond = Condensation::build(g);
-        let nc = cond.num_comps();
-        let words = nc.div_ceil(64);
-        let mut rows = vec![0u64; nc * words];
-        // Ascending component order = reverse topological (see SccEngine).
-        for c in 0..nc {
-            // Split rows at c*words so we can read successor rows (< c)
-            // while writing row c.
-            let (done, rest) = rows.split_at_mut(c * words);
-            let row = &mut rest[..words];
-            for &d in &cond.comp_succ[c] {
-                let d = d as usize;
-                debug_assert!(d < c);
-                row[d / 64] |= 1u64 << (d % 64);
-                let drow = &done[d * words..(d + 1) * words];
-                for (rw, dw) in row.iter_mut().zip(drow) {
-                    *rw |= dw;
-                }
-            }
-        }
-        // Expand to per-node sorted successor lists.
-        let n = g.num_nodes();
-        let mut succ = vec![Vec::new(); n];
-        for v in 0..n as u32 {
-            let c = cond.comp_of[v as usize] as usize;
-            let row = &rows[c * words..(c + 1) * words];
-            let mut out: Vec<u32> = Vec::new();
-            if cond.members[c].len() > 1 {
-                out.extend(cond.members[c].iter().copied());
-            }
-            for (wi, &word) in row.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let d = wi * 64 + b;
-                    out.extend(cond.members[d].iter().copied());
-                }
-            }
-            out.sort_unstable();
-            succ[v as usize] = out;
-        }
-        Closure { succ }
-    }
-}
-
-/// All engines, for ablation benchmarks and cross-checking tests. The
-/// parallel engines are included with their default (all-cores) thread
-/// counts.
+/// All engines, for ablation benchmarks and cross-checking tests: the
+/// three sequential oracles and the block engine at 1 and 2 threads.
 pub fn all_engines() -> Vec<Box<dyn ClosureEngine>> {
     vec![
         Box::new(DfsEngine),
         Box::new(BfsEngine),
         Box::new(SccEngine),
-        Box::new(BitsetEngine),
-        Box::new(crate::closure_par::ParSccEngine::default()),
-        Box::new(crate::closure_par::ChunkedBitsetEngine::default()),
+        Box::new(ChunkedBitsetEngine::with_threads(1)),
+        Box::new(ChunkedBitsetEngine::with_threads(2)),
     ]
 }
 

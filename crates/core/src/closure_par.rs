@@ -1,32 +1,45 @@
-//! Multi-threaded transitive-closure engines (std-only: scoped threads,
-//! no external crates).
+//! The block closure engine, the crate's production closure engine
+//! (std-only: scoped threads, no external crates).
 //!
-//! Both engines start from the same Tarjan condensation as
-//! [`SccEngine`](crate::closure::SccEngine) and parallelize the two
-//! expensive phases — reachable-set propagation over the condensation and
-//! expansion back to per-node successor lists:
+//! [`ChunkedBitsetEngine`] starts from the same Tarjan condensation as
+//! [`SccEngine`](crate::closure::SccEngine) and processes source
+//! components in *blocks* of [`BLOCK`] = 64: one `u64` word per component
+//! records which of the block's sources reach it, and one descending
+//! sweep over the condensation propagates the words along its arcs. Each
+//! block then
 //!
-//! * [`ParSccEngine`] — layers the reverse-topological component order
-//!   into *levels* (a component's level is one more than the maximum
-//!   level of its successors). All components in a level depend only on
-//!   lower levels, so each level's reachable-set merges fan out across
-//!   worker threads with a join barrier per level.
-//! * [`ChunkedBitsetEngine`] — processes source components in 64-wide
-//!   *blocks*: one `u64` word per component records which of the block's
-//!   64 sources reach it, and a single forward-topological sweep
-//!   propagates the words along condensation arcs. Memory is `O(V)` per
-//!   in-flight block (unlike the dense engine's `O(V²/8)` matrix, so
-//!   there is no size gate), and blocks are independent, so they spread
-//!   across worker threads with no synchronization at all.
+//! 1. sizes every source's successor list exactly, by summing the member
+//!    counts of the components each source reaches;
+//! 2. marks the members of every reached component in a node-id bitmap
+//!    and walks its set bits in ascending order, pushing each node onto
+//!    the lists of the sources whose bits its component carries — so the
+//!    lists come out sorted, with no sort call anywhere;
+//! 3. hands a component's list to its first member and a clone to every
+//!    other member of a cyclic component.
 //!
-//! Both produce [`Closure`]s bit-identical to the sequential engines
-//! (property-tested in `tests/proptest_closure_par.rs`): per-component
-//! work is deterministic and workers write disjoint slots.
+//! Memory is `O(V)` per in-flight block. Blocks are independent, so on
+//! graphs of at least [`MIN_PARALLEL_BLOCKS`] blocks they are striped
+//! across worker threads (block `b` goes to worker `b mod t`: a block's
+//! cost grows with its highest component id) with no synchronization;
+//! the result is identical at every thread count (property-tested in
+//! `tests/proptest_closure_par.rs`).
 
 use std::num::NonZeroUsize;
 
 use crate::closure::{Closure, ClosureEngine, Condensation};
 use crate::graph::TboxGraph;
+
+/// Source components per block: one bit each in a `u64` word. (Blocks
+/// of 2–8 words per component measured no faster on the Figure 1
+/// presets, at one thread or two.)
+pub const BLOCK: usize = 64;
+
+/// Graphs of fewer blocks than this (at most 1024 components) run on the
+/// calling thread alone. Spawning a worker costs more than such a graph's
+/// whole closure: the 4-block Mouse preset at scale 0.1 takes about 30 µs
+/// at 1 thread and 75–100 µs at 2, while the 41-block Gene preset drops
+/// from 1.1 ms to 0.7 ms (2-CPU host).
+pub const MIN_PARALLEL_BLOCKS: usize = 16;
 
 /// Number of worker threads the machine comfortably supports.
 pub fn default_threads() -> usize {
@@ -35,231 +48,7 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Resolves a thread knob: `0` means "use all available cores".
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        default_threads()
-    } else {
-        threads
-    }
-}
-
-/// Splits `items` into at most `parts` contiguous chunks of near-equal
-/// size (returns ranges; never yields empty chunks).
-fn chunk_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let parts = parts.clamp(1, len);
-    let base = len / parts;
-    let extra = len % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let size = base + usize::from(i < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    out
-}
-
-/// Expands component-level reachability (`comp_reach[c]` = sorted comp
-/// ids reachable from `c`, excluding `c`) to per-node sorted successor
-/// lists, in parallel over contiguous node ranges.
-fn expand_nodes_parallel(
-    g: &TboxGraph,
-    cond: &Condensation,
-    comp_reach: &[Vec<u32>],
-    threads: usize,
-) -> Vec<Vec<u32>> {
-    let n = g.num_nodes();
-    let mut succ: Vec<Vec<u32>> = Vec::with_capacity(n);
-    if threads <= 1 || n < 4096 {
-        for v in 0..n {
-            succ.push(node_successors(cond, comp_reach, v));
-        }
-        return succ;
-    }
-    let ranges = chunk_ranges(n, threads);
-    let mut parts: Vec<Vec<Vec<u32>>> = Vec::with_capacity(ranges.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|r| {
-                let r = r.clone();
-                s.spawn(move || {
-                    r.map(|v| node_successors(cond, comp_reach, v))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            parts.push(h.join().expect("closure expansion worker panicked"));
-        }
-    });
-    for part in parts {
-        succ.extend(part);
-    }
-    succ
-}
-
-/// Sorted successor list of one node given component-level reachability.
-fn node_successors(cond: &Condensation, comp_reach: &[Vec<u32>], v: usize) -> Vec<u32> {
-    let c = cond.comp_of[v] as usize;
-    let own = &cond.members[c];
-    let reach = &comp_reach[c];
-    let mut out: Vec<u32> = Vec::with_capacity(
-        if own.len() > 1 { own.len() } else { 0 }
-            + reach
-                .iter()
-                .map(|&d| cond.members[d as usize].len())
-                .sum::<usize>(),
-    );
-    if own.len() > 1 {
-        // Cycle: every member (including v itself) is a successor.
-        out.extend(own.iter().copied());
-    }
-    for &d in reach {
-        out.extend(cond.members[d as usize].iter().copied());
-    }
-    out.sort_unstable();
-    out
-}
-
-/// Level-scheduled parallel SCC-condensation engine.
-#[derive(Debug, Clone, Copy)]
-pub struct ParSccEngine {
-    threads: usize,
-}
-
-impl ParSccEngine {
-    /// Engine with an explicit worker count (`0` = all cores).
-    pub fn with_threads(threads: usize) -> Self {
-        ParSccEngine {
-            threads: resolve_threads(threads),
-        }
-    }
-
-    /// Worker count this engine will use.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl Default for ParSccEngine {
-    fn default() -> Self {
-        Self::with_threads(0)
-    }
-}
-
-/// Below this many components in a level, spawning threads costs more
-/// than the merges themselves; such levels run inline.
-const LEVEL_PAR_CUTOFF: usize = 128;
-
-impl ClosureEngine for ParSccEngine {
-    fn name(&self) -> &'static str {
-        "par-scc"
-    }
-
-    fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn compute(&self, g: &TboxGraph) -> Closure {
-        let cond = Condensation::build(g);
-        let nc = cond.num_comps();
-        // Layer components: level(c) = 1 + max level(successor). Tarjan's
-        // emission order is reverse topological (successors first), so one
-        // ascending pass suffices.
-        let mut level = vec![0u32; nc];
-        let mut max_level = 0u32;
-        for c in 0..nc {
-            let l = cond.comp_succ[c]
-                .iter()
-                .map(|&d| level[d as usize] + 1)
-                .max()
-                .unwrap_or(0);
-            level[c] = l;
-            max_level = max_level.max(l);
-        }
-        let mut levels: Vec<Vec<u32>> = vec![Vec::new(); max_level as usize + 1];
-        for c in 0..nc {
-            levels[level[c] as usize].push(c as u32);
-        }
-
-        // reach[c]: sorted component ids reachable from c (excluding c).
-        let mut reach: Vec<Vec<u32>> = vec![Vec::new(); nc];
-        // Per-worker epoch-stamped mark buffers, reused across levels
-        // (stamps are component ids, which are globally unique).
-        let workers = self.threads.max(1);
-        let mut marks: Vec<Vec<u32>> = vec![vec![u32::MAX; nc]; workers];
-
-        for comps in &levels {
-            if workers <= 1 || comps.len() < LEVEL_PAR_CUTOFF {
-                let mark = &mut marks[0];
-                for &c in comps {
-                    let out = merge_reach(&cond, &reach, mark, c);
-                    reach[c as usize] = out;
-                }
-                continue;
-            }
-            let ranges = chunk_ranges(comps.len(), workers);
-            let mut results: Vec<Vec<(u32, Vec<u32>)>> = Vec::with_capacity(ranges.len());
-            std::thread::scope(|s| {
-                let reach_ref = &reach;
-                let cond_ref = &cond;
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .zip(marks.iter_mut())
-                    .map(|(r, mark)| {
-                        let slice = &comps[r.clone()];
-                        s.spawn(move || {
-                            slice
-                                .iter()
-                                .map(|&c| (c, merge_reach(cond_ref, reach_ref, mark, c)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    results.push(h.join().expect("closure level worker panicked"));
-                }
-            });
-            for part in results {
-                for (c, out) in part {
-                    reach[c as usize] = out;
-                }
-            }
-        }
-
-        let succ = expand_nodes_parallel(g, &cond, &reach, self.threads);
-        Closure::from_successor_lists(succ)
-    }
-}
-
-/// Merges the reachable sets of `c`'s successors (all already computed)
-/// into a sorted, duplicate-free list, using an epoch-stamped mark
-/// buffer.
-fn merge_reach(cond: &Condensation, reach: &[Vec<u32>], mark: &mut [u32], c: u32) -> Vec<u32> {
-    let mut out: Vec<u32> = Vec::new();
-    for &d in &cond.comp_succ[c as usize] {
-        if mark[d as usize] != c {
-            mark[d as usize] = c;
-            out.push(d);
-        }
-        for &e in &reach[d as usize] {
-            if mark[e as usize] != c {
-                mark[e as usize] = c;
-                out.push(e);
-            }
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
-/// Block-parallel bit-slab engine: `O(V)` memory per in-flight block, no
-/// node-count gate.
+/// Block-parallel bit-slab engine with sorted, sort-free emission.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkedBitsetEngine {
     threads: usize,
@@ -269,13 +58,12 @@ impl ChunkedBitsetEngine {
     /// Engine with an explicit worker count (`0` = all cores).
     pub fn with_threads(threads: usize) -> Self {
         ChunkedBitsetEngine {
-            threads: resolve_threads(threads),
+            threads: if threads == 0 {
+                default_threads()
+            } else {
+                threads
+            },
         }
-    }
-
-    /// Worker count this engine will use.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 }
 
@@ -296,126 +84,167 @@ impl ClosureEngine for ChunkedBitsetEngine {
 
     fn compute(&self, g: &TboxGraph) -> Closure {
         let cond = Condensation::build(g);
-        let nc = cond.num_comps();
-        if nc == 0 {
-            return Closure::from_successor_lists(Vec::new());
+        let num_blocks = cond.num_comps().div_ceil(BLOCK);
+        let mut succ: Vec<Vec<u32>> = vec![Vec::new(); g.num_nodes()];
+        let threads = if num_blocks < MIN_PARALLEL_BLOCKS {
+            1
+        } else {
+            self.threads.min(num_blocks)
+        };
+        if threads == 1 {
+            let mut scratch = Scratch::new(&cond, g.num_nodes());
+            for b in 0..num_blocks {
+                scratch.block(&cond, b, |v, list| succ[v as usize] = list);
+            }
+            return Closure::from_successor_lists(succ);
         }
-        let num_blocks = nc.div_ceil(64);
-
-        // comp_reach[c]: sorted comp ids reachable from c (excluding c).
-        let mut comp_reach: Vec<Vec<u32>> = vec![Vec::new(); nc];
-        let compute_block_range = |blocks: std::ops::Range<usize>| -> Vec<(usize, Vec<Vec<u32>>)> {
-            // One u64 per component: bit i set ⟺ the block's i-th source
-            // reaches this component. Reused (re-zeroed) across blocks.
-            let mut w = vec![0u64; nc];
-            let mut out = Vec::with_capacity(blocks.len());
-            for b in blocks {
-                let lo = b * 64;
-                let hi = ((b + 1) * 64).min(nc);
-                w[..hi].fill(0);
-                for (i, s) in (lo..hi).enumerate() {
-                    w[s] |= 1u64 << i;
-                }
-                // Condensation arcs run from higher to lower component id
-                // (Tarjan emits successors first), so one descending sweep
-                // is a forward-topological propagation. Components above
-                // `hi` can never carry block bits — skip them.
-                for c in (0..hi).rev() {
-                    let wc = w[c];
-                    if wc == 0 {
-                        continue;
-                    }
-                    for &d in &cond.comp_succ[c] {
-                        w[d as usize] |= wc;
-                    }
-                }
-                // Ascending scan yields each source's reach list already
-                // sorted. Clear the source's own bit first so the list
-                // excludes `c` itself (cycles are reintroduced during node
-                // expansion from `members`).
-                let mut lists: Vec<Vec<u32>> = vec![Vec::new(); hi - lo];
-                for (i, s) in (lo..hi).enumerate() {
-                    w[s] &= !(1u64 << i);
-                }
-                for (c, &wc) in w[..hi].iter().enumerate() {
-                    let mut bits = wc;
-                    while bits != 0 {
-                        let i = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        lists[i].push(c as u32);
-                    }
-                }
-                out.push((b, lists));
+        // Worker `t` takes blocks t, t + threads, …; the calling thread
+        // runs stripe 0 itself.
+        let stripe = |t: usize| {
+            let mut scratch = Scratch::new(&cond, g.num_nodes());
+            let mut out: Vec<(u32, Vec<u32>)> = Vec::new();
+            for b in (t..num_blocks).step_by(threads) {
+                scratch.block(&cond, b, |v, list| out.push((v, list)));
             }
             out
         };
+        let parts: Vec<Vec<(u32, Vec<u32>)>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (1..threads)
+                .map(|t| {
+                    let stripe = &stripe;
+                    s.spawn(move || stripe(t))
+                })
+                .collect();
+            let mut parts = vec![stripe(0)];
+            parts.extend(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("closure block worker panicked")),
+            );
+            parts
+        });
+        for (v, list) in parts.into_iter().flatten() {
+            succ[v as usize] = list;
+        }
+        Closure::from_successor_lists(succ)
+    }
+}
 
-        if self.threads <= 1 || num_blocks == 1 {
-            for (b, lists) in compute_block_range(0..num_blocks) {
-                for (i, list) in lists.into_iter().enumerate() {
-                    comp_reach[b * 64 + i] = list;
-                }
+/// One worker's buffers, reused across its blocks.
+struct Scratch {
+    /// Per component: which of the block's sources reach it.
+    reach: Vec<u64>,
+    /// Node-id bitmap of the members of every reached component.
+    nodes: Vec<u64>,
+}
+
+impl Scratch {
+    fn new(cond: &Condensation, num_nodes: usize) -> Self {
+        Scratch {
+            reach: vec![0; cond.num_comps()],
+            nodes: vec![0; num_nodes.div_ceil(64)],
+        }
+    }
+
+    /// Computes the sorted successor lists of block `b`'s source
+    /// components and hands each member node its list through `emit`.
+    fn block(&mut self, cond: &Condensation, b: usize, mut emit: impl FnMut(u32, Vec<u32>)) {
+        let lo = b * BLOCK;
+        let hi = (lo + BLOCK).min(cond.num_comps());
+        // Condensation arcs run from higher to lower component id, so
+        // components at or above `hi` carry no block bits and one
+        // descending sweep is a forward-topological propagation.
+        let reach = &mut self.reach[..hi];
+        reach.fill(0);
+        for (i, word) in reach[lo..].iter_mut().enumerate() {
+            *word = 1 << i;
+        }
+        for c in (0..hi).rev() {
+            let wc = reach[c];
+            if wc == 0 {
+                continue;
             }
-        } else {
-            let ranges = chunk_ranges(num_blocks, self.threads);
-            let mut results: Vec<Vec<(usize, Vec<Vec<u32>>)>> = Vec::with_capacity(ranges.len());
-            std::thread::scope(|s| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|r| {
-                        let r = r.clone();
-                        let f = &compute_block_range;
-                        s.spawn(move || f(r))
-                    })
-                    .collect();
-                for h in handles {
-                    results.push(h.join().expect("bitset block worker panicked"));
-                }
-            });
-            for part in results {
-                for (b, lists) in part {
-                    for (i, list) in lists.into_iter().enumerate() {
-                        comp_reach[b * 64 + i] = list;
-                    }
-                }
+            for &d in cond.successors(c) {
+                reach[d as usize] |= wc;
+            }
+        }
+        // A source reaches its own component through an arc only when the
+        // component is a cycle; a singleton keeps its own bit off.
+        for (i, word) in reach[lo..].iter_mut().enumerate() {
+            if cond.members(lo + i).len() == 1 {
+                *word &= !(1 << i);
             }
         }
 
-        let succ = expand_nodes_parallel(g, &cond, &comp_reach, self.threads);
-        Closure::from_successor_lists(succ)
+        // Per source: its successor count.
+        let mut counts = [0usize; BLOCK];
+        for (c, &wc) in reach.iter().enumerate() {
+            if wc == 0 {
+                continue;
+            }
+            let members = cond.members(c);
+            for_each_bit(wc, |i| counts[i] += members.len());
+            for &v in members {
+                self.nodes[v as usize / 64] |= 1 << (v % 64);
+            }
+        }
+        let mut lists: Vec<Vec<u32>> = counts[..hi - lo]
+            .iter()
+            .map(|&k| Vec::with_capacity(k))
+            .collect();
+        // Ascending node order, clearing the bitmap as it goes.
+        for (wi, word) in self.nodes.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let v = (wi * 64) as u32 + bits.trailing_zeros();
+                bits &= bits - 1;
+                let wc = reach[cond.comp_of[v as usize] as usize];
+                for_each_bit(wc, |i| lists[i].push(v));
+            }
+        }
+
+        for (i, list) in lists.into_iter().enumerate() {
+            let (&first, rest) = cond
+                .members(lo + i)
+                .split_first()
+                .expect("components are non-empty");
+            for &v in rest {
+                emit(v, list.clone());
+            }
+            emit(first, list);
+        }
+    }
+}
+
+/// Calls `f` with the index of every set bit of `bits`, ascending.
+#[inline]
+fn for_each_bit(mut bits: u64, mut f: impl FnMut(usize)) {
+    while bits != 0 {
+        f(bits.trailing_zeros() as usize);
+        bits &= bits - 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::closure::SccEngine;
+    use crate::closure::{BfsEngine, SccEngine};
+    use crate::graph::NodeId;
     use obda_dllite::parse_tbox;
-
-    fn engines_under_test(threads: usize) -> Vec<Box<dyn ClosureEngine>> {
-        vec![
-            Box::new(ParSccEngine::with_threads(threads)),
-            Box::new(ChunkedBitsetEngine::with_threads(threads)),
-        ]
-    }
 
     fn assert_matches_scc(src: &str) {
         let t = parse_tbox(src).unwrap();
         let g = TboxGraph::build(&t);
         let reference = SccEngine.compute(&g);
         for threads in [1, 2, 4] {
-            for e in engines_under_test(threads) {
-                let c = e.compute(&g);
-                for v in 0..g.num_nodes() {
-                    assert_eq!(
-                        c.successors(crate::graph::NodeId(v as u32)),
-                        reference.successors(crate::graph::NodeId(v as u32)),
-                        "engine {} threads {} node {}",
-                        e.name(),
-                        threads,
-                        v
-                    );
-                }
+            let c = ChunkedBitsetEngine::with_threads(threads).compute(&g);
+            assert_eq!(c.num_nodes(), reference.num_nodes());
+            for v in 0..g.num_nodes() {
+                assert_eq!(
+                    c.successors(NodeId(v as u32)),
+                    reference.successors(NodeId(v as u32)),
+                    "threads {threads} node {v}"
+                );
             }
         }
     }
@@ -440,35 +269,41 @@ mod tests {
         assert_matches_scc("concept A B C D E\nA [= B\nA [= C\nB [= D\nC [= D\nD [= E\nE [= D");
     }
 
+    /// Just enough blocks to run threaded, of mostly isolated concepts,
+    /// with a cycle and arcs that cross blocks in both directions. Small
+    /// closure, so it stays cheap under Miri.
     #[test]
-    fn empty_graph() {
-        let t = parse_tbox("concept A").unwrap();
-        let g = TboxGraph::build(&t);
-        for e in engines_under_test(2) {
-            let c = e.compute(&g);
-            assert_eq!(c.num_arcs(), 0, "engine {}", e.name());
+    fn sparse_multi_block_graph_matches_scc() {
+        let n = MIN_PARALLEL_BLOCKS * BLOCK + 7;
+        let mut src = String::from("concept");
+        for i in 0..n {
+            src.push_str(&format!(" C{i}"));
         }
+        for (a, b) in [
+            (0, n - 1),
+            (n - 1, 3),
+            (3, 0),
+            (BLOCK + 1, 5),
+            (6, BLOCK + 2),
+        ] {
+            src.push_str(&format!("\nC{a} [= C{b}"));
+        }
+        assert_matches_scc(&src);
     }
 
     #[test]
-    fn chunk_ranges_cover_exactly() {
-        for (len, parts) in [(10, 3), (3, 10), (64, 64), (65, 4), (1, 1), (0, 4)] {
-            let ranges = chunk_ranges(len, parts);
-            let mut covered = 0;
-            let mut expected_start = 0;
-            for r in &ranges {
-                assert_eq!(r.start, expected_start);
-                assert!(!r.is_empty());
-                covered += r.len();
-                expected_start = r.end;
-            }
-            assert_eq!(covered, len, "len={len} parts={parts}");
+    fn empty_graph() {
+        for src in ["concept A", ""] {
+            let g = TboxGraph::build(&parse_tbox(src).unwrap());
+            let c = ChunkedBitsetEngine::with_threads(2).compute(&g);
+            assert_eq!(c.num_nodes(), BfsEngine.compute(&g).num_nodes());
+            assert_eq!(c.num_arcs(), 0);
         }
     }
 
     #[test]
     fn thread_resolution() {
-        assert!(ParSccEngine::with_threads(0).threads() >= 1);
+        assert!(ChunkedBitsetEngine::with_threads(0).threads() >= 1);
         assert_eq!(ChunkedBitsetEngine::with_threads(3).threads(), 3);
     }
 }

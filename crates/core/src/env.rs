@@ -69,13 +69,6 @@ pub const KNOBS: &[Knob] = &[
         doc: "Ontology scale factor for the closure benches (`1.0` = published sizes).",
     },
     Knob {
-        name: "QUONTO_CLOSURE",
-        kind: KnobKind::Name,
-        default: "auto",
-        doc: "Forces a closure engine: `dfs`, `bfs`, `scc`, `bitset`, `par`, or `chunked`, \
-              bypassing the size×cores heuristic of `AutoEngine`.",
-    },
-    Knob {
         name: "QUONTO_EBOX",
         kind: KnobKind::Name,
         default: "off",
@@ -160,11 +153,6 @@ fn raw(name: &'static str) -> Option<String> {
 /// Registered flag read (`1` = on).
 fn flag(name: &'static str) -> bool {
     raw(name).as_deref() == Some("1")
-}
-
-/// `QUONTO_CLOSURE`: forced closure-engine name, if set and non-empty.
-pub fn closure_engine() -> Option<String> {
-    raw("QUONTO_CLOSURE").filter(|s| !s.is_empty())
 }
 
 /// `QUONTO_EBOX`: requested EBox pruning mode, if set and non-empty.

@@ -57,11 +57,11 @@ pub mod unsat;
 
 pub use classify::Classification;
 pub use closure::{
-    all_engines, recommended, recommended_with_threads, AutoEngine, BfsEngine, BitsetEngine,
-    Closure, ClosureEngine, DfsEngine, SccEngine,
+    all_engines, recommended, recommended_with_threads, BfsEngine, Closure, ClosureEngine,
+    DfsEngine, SccEngine,
 };
 pub use closure_full::{deductive_closure, ClosureOptions};
-pub use closure_par::{default_threads, ChunkedBitsetEngine, ParSccEngine};
+pub use closure_par::{default_threads, ChunkedBitsetEngine};
 pub use graph::{NodeId, NodeKind, NodeSort, TboxGraph};
 pub use implication::Implication;
 pub use phi::compute_phi;

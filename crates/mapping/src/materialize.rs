@@ -26,12 +26,10 @@ impl MaterializeStats {
     }
 }
 
-// Process-wide skipped-rows counter, resolved once.
-obda_obs::counter_handle!(fn skipped_total, "materialize.skipped_rows");
-
-/// Evaluates all mappings over `db`, producing the virtual ABox.
+/// Evaluates all mappings over `db`, producing the virtual ABox. Skips
+/// are published to the process-wide registry.
 pub fn materialize(mappings: &MappingSet, db: &Database) -> Result<Abox, SqlError> {
-    materialize_with_stats(mappings, db).map(|(abox, _)| abox)
+    materialize_with_stats(mappings, db, obda_obs::registry()).map(|(abox, _)| abox)
 }
 
 /// The columns a mapping head derives assertions from; a row is used by
@@ -55,11 +53,13 @@ fn head_columns(
 }
 
 /// [`materialize`] plus per-mapping skipped-row counters. Skips are also
-/// published to the metrics registry (`materialize.skipped_rows` total,
-/// `materialize.skipped_rows.m{i}` per mapping with skips).
+/// published to `registry` (`materialize.skipped_rows` total,
+/// `materialize.skipped_rows.m{i}` per mapping with skips); pass
+/// [`obda_obs::registry()`] for the process-wide one.
 pub fn materialize_with_stats(
     mappings: &MappingSet,
     db: &Database,
+    registry: &obda_obs::Registry,
 ) -> Result<(Abox, MaterializeStats), SqlError> {
     let mut abox = Abox::new();
     let mut stats = MaterializeStats::default();
@@ -106,8 +106,8 @@ pub fn materialize_with_stats(
             }
         }
         if skipped > 0 {
-            skipped_total().add(skipped);
-            obda_obs::registry().add(&format!("materialize.skipped_rows.m{mi}"), skipped);
+            registry.counter("materialize.skipped_rows").add(skipped);
+            registry.add(&format!("materialize.skipped_rows.m{mi}"), skipped);
         }
         stats.skipped_rows.push(skipped);
     }
@@ -204,15 +204,21 @@ mod tests {
                 },
             ],
         });
-        let before = skipped_total().get();
-        let (abox, stats) = materialize_with_stats(&ms, &db).unwrap();
+        let registry = obda_obs::Registry::new();
+        let (abox, stats) = materialize_with_stats(&ms, &db, &registry).unwrap();
         assert_eq!(stats.skipped_rows, vec![0, 3]);
         assert_eq!(stats.total_skipped(), 3);
         assert_eq!(abox.role_instances(reports).count(), 1);
         assert_eq!(abox.attribute_instances(name).count(), 2);
-        // The registry totals move by exactly this run's skips (the
-        // registry is process-global, so assert on the delta).
-        assert_eq!(skipped_total().get() - before, 3);
+        // A private registry sees exactly this run's skips, whatever
+        // other tests publish to the process-wide one meanwhile.
+        assert_eq!(
+            registry.counters(),
+            vec![
+                ("materialize.skipped_rows".to_owned(), 3),
+                ("materialize.skipped_rows.m1".to_owned(), 3),
+            ]
+        );
     }
 
     #[test]

@@ -234,7 +234,7 @@ fn map_atom(
 }
 
 /// `true` when the environment disables pruning (`QUONTO_NO_PRUNE=1`) —
-/// the cross-checking escape hatch mirroring `QUONTO_CLOSURE`.
+/// the cross-checking escape hatch.
 pub fn pruning_disabled() -> bool {
     quonto::env::no_prune()
 }
